@@ -226,8 +226,8 @@ func printStatus(stderr io.Writer, st fleet.Stats) {
 		fmt.Fprintf(stderr, " gaps=%d/%d misrouted=%d snapshots=%d handoffs=%d failovers=%d lost=%d",
 			sh.Gaps, sh.GapEntries, sh.Misrouted, sh.Snapshots, sh.Handoffs, sh.Failovers, sh.LostEntries)
 		sup := sh.Supervisor
-		fmt.Fprintf(stderr, " panics=%d restarts=%d trips=%d probes=%d denied=%d health=%s\n",
-			sup.Panics, sup.Restarts, sup.Trips, sup.Probes, sh.RecoveryDenied, sup.Health)
+		fmt.Fprintf(stderr, " panics=%d trips=%d probes=%d denied=%d health=%s\n",
+			sup.Panics, sup.Trips, sup.Probes, sh.RecoveryDenied, sup.Health)
 	}
 }
 

@@ -362,8 +362,8 @@ func printStages(stderr io.Writer, stages []elsa.StageStats) {
 			fmt.Fprintf(stderr, " quarantined=%d deduped=%d shed=%d", sg.Quarantined, sg.Deduped, sg.Shed)
 		}
 		if sg.Health != "" {
-			fmt.Fprintf(stderr, " panics=%d restarts=%d bypassed=%d trips=%d probes=%d health=%s",
-				sg.Panics, sg.Restarts, sg.Bypassed, sg.Trips, sg.Probes, sg.Health)
+			fmt.Fprintf(stderr, " panics=%d bypassed=%d trips=%d probes=%d health=%s",
+				sg.Panics, sg.Bypassed, sg.Trips, sg.Probes, sg.Health)
 		}
 		fmt.Fprintln(stderr)
 	}

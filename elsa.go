@@ -171,8 +171,9 @@ func DefaultPredictConfig() PredictConfig { return predict.DefaultConfig() }
 // as HELO does online).
 //
 // Batch prediction is a replay: the records run through the same
-// internal/pipeline stage graph a live Monitor executes, driven from an
-// in-memory source. The per-stage counters land in Stats.Stages.
+// internal/pipeline Session driver a live Monitor feeds, bounded to
+// [start, end) and fed from an in-memory source. The per-stage counters
+// land in Stats.Stages.
 func (m *Model) Predict(records []Record, start, end time.Time) *PredictResult {
 	return m.PredictWith(records, start, end, DefaultPredictConfig())
 }
@@ -190,9 +191,9 @@ func (m *Model) PredictWith(records []Record, start, end time.Time, cfg PredictC
 // PredictSource streams records pulled from src through the online phase
 // over [start, end) without materialising the log in memory. Records must
 // arrive roughly in time order (the pipeline tolerates one sampling tick
-// of lateness; older records are dropped and counted). On context
-// cancellation or a source failure the partial result is returned
-// alongside the error.
+// of lateness; older records are dropped and counted). The context is
+// checked between records. On context cancellation or a source failure
+// the partial result is returned alongside the error.
 func (m *Model) PredictSource(ctx context.Context, src RecordSource, start, end time.Time, cfg PredictConfig) (*PredictResult, error) {
 	engine := predict.NewEngine(m.inner, m.profiles, cfg)
 	p := pipeline.New(engine, m.organizer, pipeline.DefaultConfig())

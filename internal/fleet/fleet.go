@@ -85,8 +85,7 @@ type Config struct {
 	FeedTimeout time.Duration
 	// Handoff tunes the restore retry loop.
 	Handoff HandoffPolicy
-	// Supervision is the per-shard breaker policy; shard i runs under
-	// Seed+i so backoff schedules are decorrelated but reproducible.
+	// Supervision is the per-shard breaker policy.
 	Supervision resilience.Policy
 }
 

@@ -79,8 +79,10 @@ func (s *Supervisor) mutReverse() {
 	}
 }
 
-// pipelineShapedTmpl mirrors pipeline.Run's stage layout: buffered
-// stage channels, each closed by the annotated goroutine that owns it.
+// pipelineShapedTmpl is a goroutine-per-stage fixture: buffered stage
+// channels, each closed by the annotated goroutine that owns it. No
+// production code has this shape any more; the fixture keeps the
+// double-close gate exercised on a realistic channel graph.
 const pipelineShapedTmpl = `package pipeline
 
 import "sync"

@@ -3,28 +3,22 @@
 //
 //	Source → TemplateAssign (helo) → Sample/Signal (sig) → OutlierFilter → ChainMatch → PredictionSink
 //
-// with context cancellation, bounded-channel backpressure and per-stage
-// counters (records in/out, drops, max queue depth, wall time). The hot
-// filtering stage shards its per-event-type signal state across workers.
+// with input hardening, supervised stage bodies and per-stage counters
+// (records in/out, drops, max queue depth, wall time).
 //
-// The graph has exactly one set of stage bodies and two drivers:
-//
-//   - Run pulls records from a logs.RecordSource and pushes them through
-//     goroutine-per-stage bounded channels — the batch path. Batch
-//     prediction is therefore a replay of the same stage graph the live
-//     monitor runs, not a separate code path.
-//   - Session executes the same stage bodies synchronously, one record
-//     per Feed call — the deployment shape of a monitor daemon tailing a
-//     live log.
+// The graph has one driver, Session, which executes the stage bodies
+// synchronously, one record per Feed call — the deployment shape of a
+// monitor daemon tailing a live log. Run replays a logs.RecordSource
+// through a Session bounded to the run window, so batch prediction is a
+// replay of the same driver the live monitor runs, not a separate code
+// path.
 //
 // Tick mechanics (sampling, outlier observation, chain matching, the
 // analysis-time model) live in internal/predict as exported stage steps;
-// this package owns ingest, ordering, concurrency and accounting.
+// this package owns ingest, ordering and accounting.
 package pipeline
 
 import (
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,20 +60,9 @@ func StampEventID(rec *logs.Record, org TemplateLearner) {
 	}
 }
 
-// Config tunes the pipeline drivers. The engine-level parameters (step,
+// Config tunes the pipeline driver. The engine-level parameters (step,
 // tolerance, analysis-cost model) stay in predict.Config.
 type Config struct {
-	// Buffer is the capacity of each inter-stage channel in the async
-	// driver; it bounds how far any stage can run ahead (backpressure).
-	// <= 0 selects DefaultBuffer.
-	Buffer int
-
-	// Workers caps the filter stage's fan-out across detector shards.
-	// <= 0 selects runtime.NumCPU(). The effective width also never
-	// exceeds one worker per minShardSize detectors, so small models run
-	// sequentially.
-	Workers int
-
 	// GraceTicks is how many sampling ticks a record may lag the newest
 	// record seen and still be accepted into its (still open) tick.
 	// Records older than that are dropped and counted. Wall-clock
@@ -87,12 +70,8 @@ type Config struct {
 	// grace. Negative values are treated as 0.
 	GraceTicks int
 
-	// OnPrediction, when set, is invoked from the sink stage for every
-	// prediction as soon as its tick closes (both drivers).
-	OnPrediction func(predict.Prediction)
-
 	// Supervise wraps the template, filter and match stage bodies in
-	// panic barriers with restart budgets and circuit breakers
+	// panic barriers with failure budgets and circuit breakers
 	// (internal/resilience). A stage whose breaker trips runs in bypass
 	// mode — records flow through unstamped, ticks produce no hits, or
 	// matching is skipped — instead of killing the monitor, and the
@@ -119,31 +98,22 @@ type Config struct {
 	// DefaultMaxBuffered.
 	MaxBuffered int
 
-	// Accumulate, when set, arms an incremental statistics accumulator
-	// on the synchronous Session driver: every closed tick's outlier hit
-	// set and per-event counts are folded into it, so Model.Refresh can
-	// rebuild chains from live counters without replaying the horizon.
-	// Its MaxLag/MinCount must match the model's cross-correlation
-	// configuration. The async Run driver ignores it (batch replay
-	// retrains offline).
+	// Accumulate, when set, arms an incremental statistics accumulator:
+	// every closed tick's outlier hit set and per-event counts are folded
+	// into it, so Model.Refresh can rebuild chains from live counters
+	// without replaying the horizon. Its MaxLag/MinCount must match the
+	// model's cross-correlation configuration. Batch prediction leaves it
+	// unset: a batch replay retrains offline.
 	Accumulate *sig.AccumConfig
 }
-
-// DefaultBuffer is the default inter-stage channel capacity.
-const DefaultBuffer = 256
 
 // DefaultGraceTicks is the default out-of-order tolerance: one sampling
 // tick, per the monitor's documented ingest contract.
 const DefaultGraceTicks = 1
 
-// minShardSize is the fewest detectors worth giving a filter worker.
-const minShardSize = 16
-
 // DefaultConfig returns the standard driver configuration.
 func DefaultConfig() Config {
 	return Config{
-		Buffer:      DefaultBuffer,
-		Workers:     runtime.NumCPU(),
 		GraceTicks:  DefaultGraceTicks,
 		Supervise:   true,
 		MaxBuffered: DefaultMaxBuffered,
@@ -165,8 +135,6 @@ type Pipeline struct {
 
 	//elsa:ephemeral model-derived wiring rebuilt by New
 	ids []int // all dense-detector event ids, ascending
-	//elsa:ephemeral model-derived wiring rebuilt by New
-	shards [][]int // ids partitioned for the filter fan-out
 
 	counters [numStages]stageCounter
 
@@ -189,27 +157,10 @@ type Pipeline struct {
 // New builds a pipeline over an engine. org may be nil when every record
 // arrives pre-stamped with an event id.
 func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = DefaultBuffer
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.NumCPU()
-	}
 	if cfg.GraceTicks < 0 {
 		cfg.GraceTicks = 0
 	}
 	p := &Pipeline{eng: eng, org: org, cfg: cfg, ids: eng.DetectorIDs()}
-	w := cfg.Workers
-	if max := len(p.ids) / minShardSize; w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	p.shards = make([][]int, w)
-	for i, id := range p.ids {
-		p.shards[i%w] = append(p.shards[i%w], id)
-	}
 	if cfg.DedupWindow > 0 {
 		p.dedup = newDedupRing(cfg.DedupWindow)
 	}
@@ -218,9 +169,7 @@ func New(eng *predict.Engine, org TemplateLearner, cfg Config) *Pipeline {
 	}
 	if cfg.Supervise {
 		for _, st := range []int{stageTemplate, stageFilter, stageMatch} {
-			pol := cfg.Supervision
-			pol.Seed += int64(st) // decorrelate backoff jitter across stages
-			p.sups[st] = resilience.New(stageNames[st], pol)
+			p.sups[st] = resilience.New(stageNames[st], cfg.Supervision)
 		}
 	}
 	return p
@@ -245,9 +194,6 @@ func (p *Pipeline) observeTick(b tickBatch, hits []predict.Hit) {
 	p.accum.ObserveTick(b.idx, b.sample.Counts, ev)
 }
 
-// FilterWorkers returns the filter stage's effective fan-out width.
-func (p *Pipeline) FilterWorkers() int { return len(p.shards) }
-
 // Stats returns a point-in-time snapshot of the per-stage counters, in
 // graph order, with each supervised stage's health merged in. Safe to
 // call concurrently with a running driver.
@@ -258,7 +204,6 @@ func (p *Pipeline) Stats() []predict.StageStats {
 		if sup := p.sups[i]; sup != nil {
 			ss := sup.Stats()
 			out[i].Panics = ss.Panics
-			out[i].Restarts = ss.Restarts
 			out[i].Bypassed = ss.Bypassed
 			out[i].Trips = ss.Trips
 			out[i].Probes = ss.Probes
@@ -283,7 +228,7 @@ func (p *Pipeline) fillStats(st *predict.Stats) {
 }
 
 // stageCounter tracks one stage's throughput; all fields are atomics so
-// the async driver's goroutines and Stats snapshots never race.
+// Stats snapshots taken from another goroutine never race the driver.
 type stageCounter struct {
 	in, out, dropped atomic.Int64
 	maxQueue         atomic.Int64
@@ -331,7 +276,7 @@ func (p *Pipeline) stamp(rec *logs.Record) {
 }
 
 // stampSafe is the supervised template stage: a panicking organizer
-// counts against the stage's restart budget instead of killing the
+// counts against the stage's failure budget instead of killing the
 // driver, and once the breaker trips records flow through unstamped
 // (EventID -1, which tick aggregation ignores) until the cooldown
 // probe succeeds.
@@ -350,46 +295,17 @@ func (p *Pipeline) stampSafe(rec *logs.Record) {
 }
 
 // detect runs the OutlierFilter stage body for one tick: every dense
-// detector observes its sampled value (sharded across the filter workers
-// when the model is wide enough), sparse events pass straight through,
-// and the merged hit set is sorted for deterministic matching. The
-// result is identical to Engine.DetectOutliers.
+// detector observes its sampled value, sparse events pass straight
+// through, and the merged hit set is sorted for deterministic matching.
+// The result is identical to Engine.DetectOutliers.
 func (p *Pipeline) detect(t *predict.Tick, tickStart time.Time) []predict.Hit {
 	c := &p.counters[stageFilter]
 	c.in.Add(1)
 	start := time.Now()
 	var hits []predict.Hit
-	if len(p.shards) <= 1 {
-		for _, id := range p.ids {
-			if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
-				hits = append(hits, h)
-			}
-		}
-	} else {
-		partial := make([][]predict.Hit, len(p.shards))
-		var wg sync.WaitGroup
-		for w := range p.shards {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// A panic on a worker goroutine cannot be recovered by
-				// the caller; the barrier must sit here. The shard's
-				// hits are lost for this tick, the process survives.
-				if sup := p.sups[stageFilter]; sup != nil {
-					defer sup.Recover()
-				}
-				var hs []predict.Hit
-				for _, id := range p.shards[w] {
-					if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
-						hs = append(hs, h)
-					}
-				}
-				partial[w] = hs
-			}(w)
-		}
-		wg.Wait()
-		for _, hs := range partial {
-			hits = append(hits, hs...)
+	for _, id := range p.ids {
+		if h, ok := p.eng.ObserveDetector(id, t, tickStart); ok {
+			hits = append(hits, h)
 		}
 	}
 	hits = p.eng.SparseHits(t, hits)
@@ -443,11 +359,6 @@ func (p *Pipeline) match(b tickBatch, hits []predict.Hit, res *predict.Result) [
 
 	cs := &p.counters[stageSink]
 	cs.in.Add(int64(len(fired)))
-	if p.cfg.OnPrediction != nil {
-		for _, pr := range fired {
-			p.cfg.OnPrediction(pr)
-		}
-	}
 	cs.out.Add(int64(len(fired)))
 	return fired
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"time"
 
@@ -13,10 +14,10 @@ import (
 // sentinel so the hot path pays no allocation to report it.
 var ErrClosed = errors.New("pipeline: session is closed")
 
-// Session is the incremental driver of the stage graph: the same stage
-// bodies Run executes across goroutines, executed synchronously one
-// record per Feed call. It is the deployment shape of a monitor daemon
-// tailing a live log, and the backing of the public Monitor API.
+// Session is the driver of the stage graph: it executes the stage bodies
+// synchronously, one record per Feed call. It is the deployment shape of
+// a monitor daemon tailing a live log, the backing of the public Monitor
+// API, and — bounded to a run window — the engine of Run.
 //
 // Ingest contract: records should arrive roughly in time order. A record
 // up to Config.GraceTicks sampling ticks older than the newest record
@@ -39,11 +40,47 @@ type Session struct {
 // NewSession arms the pipeline for incremental feeding, with tick 0
 // starting at start.
 func (p *Pipeline) NewSession(start time.Time) *Session {
+	return p.newSession(start, -1)
+}
+
+// newSession arms a session whose sampler closes at most limit ticks;
+// limit < 0 leaves it unbounded.
+func (p *Pipeline) newSession(start time.Time, limit int) *Session {
 	return &Session{
 		p:   p,
-		smp: newSampler(start, p.eng.Step(), p.cfg.GraceTicks, -1),
+		smp: newSampler(start, p.eng.Step(), p.cfg.GraceTicks, limit),
 		res: p.eng.NewResult(),
 	}
+}
+
+// Run replays a record source covering [start, end) through a Session
+// bounded to that window: records outside it are dropped and counted,
+// and Close flushes the trailing empty ticks through end, so a replay is
+// tick-for-tick identical to the live monitor. ctx is checked between
+// records.
+//
+// The returned result is complete on nil error. On cancellation it is
+// the partial result so far, returned with ctx.Err(); on a source
+// failure the window is still flushed and src.Err() is returned. Its
+// Stats.Stages carry the per-stage counters either way.
+func (p *Pipeline) Run(ctx context.Context, src logs.RecordSource, start, end time.Time) (*predict.Result, error) {
+	nTicks := 0
+	if end.After(start) {
+		nTicks = int(end.Sub(start) / p.eng.Step())
+	}
+	s := p.newSession(start, nTicks)
+	for ctx.Err() == nil {
+		rec, ok := src.Next()
+		if !ok {
+			break
+		}
+		// Feed fails only on a closed session; s stays open until Close.
+		_, _ = s.Feed(rec)
+	}
+	if err := ctx.Err(); err != nil {
+		return s.Result(), err
+	}
+	return s.Close(), src.Err()
 }
 
 // Feed ingests one record and returns any predictions that became
@@ -74,10 +111,13 @@ func (s *Session) Feed(rec logs.Record) ([]predict.Prediction, error) {
 		s.p.accum.NoteSeverity(rec.EventID, int(rec.Severity))
 	}
 	c.in.Add(1)
+	late := s.smp.late
 	batches, accepted := s.smp.add(rec)
 	if !accepted {
+		// Dropped counts every rejected record; LateRecords only those
+		// behind the newest closed tick, not those outside the window.
 		c.dropped.Add(1)
-		s.res.Stats.LateRecords++
+		s.res.Stats.LateRecords += int(s.smp.late - late)
 	}
 	c.observeQueue(s.smp.buffered)
 	return s.runBatches(batches), nil

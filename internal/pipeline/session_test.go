@@ -85,6 +85,23 @@ func TestSessionDropsStragglersBehindWallClock(t *testing.T) {
 	}
 }
 
+func TestSessionRecordBeforeOriginIsNotLate(t *testing.T) {
+	model, profiles, _, _, _ := trained(t, 501)
+	s := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig()).NewSession(t0)
+	// A record from before the session origin is outside the session,
+	// not behind a closed tick: it is dropped but not counted as late.
+	s.Feed(logs.Record{Time: t0.Add(-time.Minute), EventID: 0, Location: topology.System})
+	res := s.Close()
+	if res.Stats.LateRecords != 0 {
+		t.Errorf("LateRecords = %d, want 0", res.Stats.LateRecords)
+	}
+	for _, sg := range res.Stats.Stages {
+		if sg.Name == "sample" && sg.Dropped != 1 {
+			t.Errorf("sample dropped = %d, want 1", sg.Dropped)
+		}
+	}
+}
+
 func TestSessionClosedIsInert(t *testing.T) {
 	model, profiles, _, _, _ := trained(t, 501)
 	s := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), nil, DefaultConfig()).NewSession(t0)
@@ -202,11 +219,11 @@ func (c *cancellingLearner) Learn(msg string, sev logs.Severity) *helo.Template 
 	return c.inner.Learn(msg, sev)
 }
 
-// TestRunCancelledMidTickEmitsNoPartialPredictions cancels the pipeline
-// between the template and match stages, mid-stream: the run must stop
-// without leaking goroutines, and everything emitted up to that point
-// must be an exact prefix of the uninterrupted run — a tick either
-// completes the full filter→match→sink path or contributes nothing.
+// TestRunCancelledMidTickEmitsNoPartialPredictions cancels the run from
+// inside the template stage, mid-stream: the run must stop without
+// leaking goroutines, and its partial result must be an exact prefix of
+// the uninterrupted run — a tick either completes the full
+// filter→match→sink path or contributes nothing.
 func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	model, profiles, test, cut, end := trained(t, 501)
 
@@ -218,13 +235,12 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 		unstamped[i] = r
 	}
 
-	refCfg := DefaultConfig()
-	var want []predict.Prediction
-	refCfg.OnPrediction = func(p predict.Prediction) { want = append(want, p) }
-	if _, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), helo.New(0), refCfg).
-		Run(context.Background(), logs.NewSliceSource(unstamped), cut, end); err != nil {
+	ref, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), helo.New(0), DefaultConfig()).
+		Run(context.Background(), logs.NewSliceSource(unstamped), cut, end)
+	if err != nil {
 		t.Fatalf("reference Run: %v", err)
 	}
+	want := ref.Predictions
 	if len(want) == 0 {
 		t.Fatal("reference run emitted no predictions; the test needs some")
 	}
@@ -234,10 +250,7 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	defer cancel()
 	learner := &cancellingLearner{inner: helo.New(0), after: len(unstamped) / 2, cancel: cancel}
 
-	cfg := DefaultConfig()
-	var got []predict.Prediction
-	cfg.OnPrediction = func(p predict.Prediction) { got = append(got, p) }
-	res, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), learner, cfg).
+	res, err := New(predict.NewEngine(model, profiles, predict.DefaultConfig()), learner, DefaultConfig()).
 		Run(ctx, logs.NewSliceSource(unstamped), cut, end)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -245,6 +258,7 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 	if res == nil {
 		t.Fatal("cancelled Run returned nil partial result")
 	}
+	got := res.Predictions
 	if len(got) >= len(want) {
 		t.Fatalf("cancelled run emitted %d predictions, reference %d — cancellation came too late to test anything", len(got), len(want))
 	}
@@ -254,7 +268,7 @@ func TestRunCancelledMidTickEmitsNoPartialPredictions(t *testing.T) {
 		}
 	}
 
-	// Every stage goroutine must be joined; allow the runtime a moment.
+	// Nothing may outlive the run; allow the runtime a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

@@ -147,11 +147,14 @@ type StageStats struct {
 	Deduped     int64
 	Shed        int64
 
-	// Supervision health: recovered stage-body panics, supervised loop
-	// restarts, invocations bypassed with the breaker open, breaker trip
-	// and half-open probe counts, and the breaker state ("" when the
-	// stage runs unsupervised).
-	Panics   int64
+	// Supervision health: recovered stage-body panics, invocations
+	// bypassed with the breaker open, breaker trip and half-open probe
+	// counts, and the breaker state ("" when the stage runs
+	// unsupervised).
+	Panics int64
+	// Restarts is never filled: no stage runs in a restartable loop.
+	// The field stays because stored snapshots carry the key and the
+	// resume path decodes them with DisallowUnknownFields.
 	Restarts int64
 	Bypassed int64
 	Trips    int64

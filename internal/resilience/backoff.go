@@ -6,13 +6,19 @@ import (
 	"time"
 )
 
+// Backoff defaults.
+const (
+	DefaultBaseBackoff = 5 * time.Millisecond
+	DefaultMaxBackoff  = 2 * time.Second
+	DefaultJitter      = 0.5
+)
+
 // Backoff computes capped, jittered exponential retry delays: attempt n
 // (0-based) sleeps min(Base<<n, Max), scaled by a uniform jitter factor
 // in [1-Jitter/2, 1+Jitter/2]. It is the one backoff schedule shared by
-// every retry loop in the system — supervisor stage restarts, fleet
-// shard handoffs, producer-side socket redials — so "capped jittered
-// exponential" means the same thing everywhere and a seed reproduces
-// the same schedule in tests.
+// every retry loop in the system — fleet shard handoffs, producer-side
+// socket redials — so "capped jittered exponential" means the same thing
+// everywhere and a seed reproduces the same schedule in tests.
 //
 // The zero value is not usable; construct with NewBackoff. Delay is safe
 // for concurrent use.
@@ -25,7 +31,7 @@ type Backoff struct {
 }
 
 // NewBackoff returns a schedule with the given base and cap. Non-positive
-// base/max and out-of-range jitter select the supervision defaults
+// base/max and out-of-range jitter select the defaults
 // (DefaultBaseBackoff, DefaultMaxBackoff, DefaultJitter); the same seed
 // reproduces the same jitter sequence.
 func NewBackoff(base, max time.Duration, jitter float64, seed int64) *Backoff {

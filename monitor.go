@@ -22,8 +22,7 @@ var ErrClosed = pipeline.ErrClosed
 // time (a daemon tailing the live log), and predictions surface as soon
 // as their sampling tick closes. New message shapes are learned online by
 // the model's template organizer, as HELO does. It runs the same
-// internal/pipeline stage graph batch Predict replays, driven
-// synchronously.
+// internal/pipeline Session driver batch Predict replays through.
 //
 // Ingest contract: records should arrive roughly in time order. A record
 // up to one sampling tick older than the newest record seen is still
