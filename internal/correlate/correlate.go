@@ -42,7 +42,7 @@ var modeNames = [...]string{"hybrid", "signal", "datamining"}
 // it; the model's *contents* never depend on it — only the reported
 // timings do, which is exactly why the determinism contract allows this
 // single seam.
-var now = time.Now //nolint:elsadeterminism // telemetry-only clock: feeds Stats durations, never chain extraction
+var now = time.Now //nolint:elsadetflow // telemetry-only clock: feeds Stats durations, never chain extraction
 
 // String names the mode as in Table III.
 func (m Mode) String() string {

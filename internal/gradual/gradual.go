@@ -440,7 +440,7 @@ func scanOffsets(dst []int, train, first []int, delay, w int) []int {
 			}
 		}
 		if found {
-			dst = append(dst, best) //nolint:elsahotpath // amortized: dst is the worker's reusable offsets scratch
+			dst = append(dst, best) //nolint:elsaalloc // amortized: dst is the worker's reusable offsets scratch
 		}
 	}
 	return dst

@@ -12,27 +12,31 @@ import (
 	"golang.org/x/tools/go/ast/inspector"
 )
 
-// AllocAnalyzer is the dataflow layer of the hot-path contract: where
-// elsahotpath is a fast syntactic pre-pass over constructs that always
-// cost an allocation (fmt, goroutines, string conversions, boxing,
-// append growth), elsaalloc proves or refutes the allocation sites the
-// compiler may optimize away. A make/new/composite literal/closure in
-// a //elsa:hotpath kernel is accepted exactly when the value provably
-// never escapes the frame and its size is a compile-time constant —
-// the same conditions under which the compiler stack-allocates it —
-// and flagged with the concrete escape path otherwise.
+// AllocAnalyzer enforces the //elsa:hotpath allocation contract in one
+// walk per kernel, at two depths:
+//
+//   - syntactic: constructs that cost an allocation no matter what
+//     escape analysis concludes — append growth, fmt formatting,
+//     goroutine launches, string<->[]byte conversions and implicit
+//     concrete→interface boxing — are always flagged;
+//   - dataflow: the allocation sites the compiler may optimize away
+//     (make, new, composite literals, closures) are accepted exactly
+//     when the value provably never escapes the frame and its size is
+//     a compile-time constant — the same conditions under which the
+//     compiler stack-allocates it — and flagged with the concrete
+//     escape path otherwise.
 //
 // A function whose body is proven free of heap allocation sites
 // exports an AllocFreeFact, so the proof is visible to analysis of
 // importing packages under go vet's facts pipeline.
 //
-// elsaalloc honors //nolint:elsahotpath suppressions as well as its
-// own: the two analyzers enforce one contract at two depths, and a
-// reasoned suppression of the syntactic layer covers the proof layer.
+// The syntactic checks were once a separate analyzer, elsahotpath;
+// //nolint:elsahotpath stays an accepted alias for //nolint:elsaalloc.
 var AllocAnalyzer = &analysis.Analyzer{
 	Name: "elsaalloc",
-	Doc: "prove //elsa:hotpath allocation sites stack-allocatable (non-escaping, constant size) " +
-		"or report them with their escape path",
+	Doc: "in //elsa:hotpath functions, report constructs that always allocate (append growth, fmt calls, " +
+		"goroutine launches, interface boxing, string<->[]byte conversions) and prove the remaining " +
+		"allocation sites stack-allocatable (non-escaping, constant size) or report their escape path",
 	Requires:  []*analysis.Analyzer{inspect.Analyzer},
 	FactTypes: []analysis.Fact{(*AllocFreeFact)(nil)},
 	Run:       runAlloc,
@@ -48,14 +52,18 @@ func (*AllocFreeFact) String() string { return "allocfree" }
 func runAlloc(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	rep := newReporter(pass)
-	// elsahotpath suppressions cover the proof layer too (one contract,
-	// two depths).
-	rep.sup.aliases = []string{HotPathAnalyzer.Name}
+	rep.sup.aliases = []string{"elsahotpath"}
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
 		if !isHotPath(fn) || fn.Body == nil {
 			return
 		}
+		obj, _ := pass.TypesInfo.Defs[fn.Name].(*types.Func)
+		var sig *types.Signature
+		if obj != nil {
+			sig = obj.Type().(*types.Signature)
+		}
+		checkHotScope(pass, rep, fn.Body, sig)
 		flow := analyzeFlow(pass, fn)
 		clean := true
 		for _, site := range flow.sites {
@@ -77,7 +85,7 @@ func runAlloc(pass *analysis.Pass) (interface{}, error) {
 				ac.cell.label, ac.cell.sink, p.Line, ac.base.obj.Name())
 		}
 		if clean {
-			if obj, ok := pass.TypesInfo.Defs[fn.Name].(*types.Func); ok && obj.Exported() {
+			if obj != nil && obj.Exported() {
 				pass.ExportObjectFact(obj, &AllocFreeFact{})
 			}
 		}
@@ -183,4 +191,132 @@ func siteByteSize(pass *analysis.Pass, site *allocSite) int64 {
 		return pass.TypesSizes.Sizeof(u.Elem())
 	}
 	return pass.TypesSizes.Sizeof(t)
+}
+
+// checkHotScope checks one function body against its own signature.
+// Nested func literals recurse with the literal's signature, so each
+// return statement pairs with its innermost enclosing function — a
+// closure returning int inside a kernel returning any is not a boxing
+// site, and boxing inside the closure is judged against the closure's
+// results.
+func checkHotScope(pass *analysis.Pass, rep *reporter, body *ast.BlockStmt, sig *types.Signature) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			lsig, _ := pass.TypesInfo.TypeOf(n).(*types.Signature)
+			checkHotScope(pass, rep, n.Body, lsig)
+			return false
+		case *ast.CallExpr:
+			checkHotCall(pass, rep, n)
+		case *ast.GoStmt:
+			rep.reportf(n.Pos(), "hotpath: goroutine launch allocates a stack")
+		case *ast.ReturnStmt:
+			checkReturnBoxing(pass, rep, sig, n)
+		}
+		checkIfaceConv(pass, rep, n)
+		return true
+	})
+}
+
+// checkHotCall flags builtin and fmt calls that allocate.
+func checkHotCall(pass *analysis.Pass, rep *reporter, call *ast.CallExpr) {
+	info := pass.TypesInfo
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		if b, ok := info.Uses[fun].(*types.Builtin); ok && b.Name() == "append" {
+			rep.reportf(call.Pos(), "hotpath: append may grow and allocate; preallocate in a scratch buffer")
+		}
+	case *ast.SelectorExpr:
+		if obj, ok := info.Uses[fun.Sel].(*types.Func); ok && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
+			rep.reportf(call.Pos(), "hotpath: fmt.%s allocates (formatting boxes every operand)", obj.Name())
+		}
+	}
+	// Conversion between string and []byte/[]rune copies.
+	if len(call.Args) == 1 {
+		if to, ok := info.Types[call.Fun]; ok && to.IsType() {
+			from := info.TypeOf(call.Args[0])
+			if from != nil && isStringBytesConv(to.Type, from) {
+				rep.reportf(call.Pos(), "hotpath: %s conversion copies", types.TypeString(to.Type, types.RelativeTo(pass.Pkg)))
+			}
+		}
+	}
+}
+
+func isStringBytesConv(to, from types.Type) bool {
+	isStr := func(t types.Type) bool {
+		b, ok := t.Underlying().(*types.Basic)
+		return ok && b.Info()&types.IsString != 0
+	}
+	isByteSlice := func(t types.Type) bool {
+		s, ok := t.Underlying().(*types.Slice)
+		if !ok {
+			return false
+		}
+		e, ok := s.Elem().Underlying().(*types.Basic)
+		return ok && (e.Kind() == types.Byte || e.Kind() == types.Rune || e.Kind() == types.Uint8 || e.Kind() == types.Int32)
+	}
+	return (isStr(to) && isByteSlice(from)) || (isByteSlice(to) && isStr(from))
+}
+
+// checkReturnBoxing flags returns whose result slot is an interface
+// fed a concrete value — boxing the enclosing function's return path.
+func checkReturnBoxing(pass *analysis.Pass, rep *reporter, sig *types.Signature, ret *ast.ReturnStmt) {
+	if sig == nil {
+		return
+	}
+	results := sig.Results()
+	if results.Len() != len(ret.Results) {
+		return // naked return or tuple-splitting call; nothing to pair up
+	}
+	for i, e := range ret.Results {
+		flagIfaceConv(pass, rep, e, results.At(i).Type())
+	}
+}
+
+// flagIfaceConv reports e if assigning it to type to boxes a concrete
+// value into an interface.
+func flagIfaceConv(pass *analysis.Pass, rep *reporter, e ast.Expr, to types.Type) {
+	if e == nil || to == nil || !types.IsInterface(to) {
+		return
+	}
+	tv, ok := pass.TypesInfo.Types[e]
+	if !ok || tv.Type == nil || types.IsInterface(tv.Type) || tv.IsNil() {
+		return
+	}
+	rep.reportf(e.Pos(), "hotpath: implicit conversion of %s to interface %s allocates",
+		types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)),
+		types.TypeString(to, types.RelativeTo(pass.Pkg)))
+}
+
+// checkIfaceConv flags implicit concrete-to-interface conversions in
+// call arguments and assignments — each one boxes its operand.
+func checkIfaceConv(pass *analysis.Pass, rep *reporter, n ast.Node) {
+	info := pass.TypesInfo
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		sig, ok := info.TypeOf(n.Fun).(*types.Signature)
+		if !ok {
+			return // conversion or builtin; builtins like append don't box
+		}
+		params := sig.Params()
+		for i, arg := range n.Args {
+			var pt types.Type
+			if sig.Variadic() && i >= params.Len()-1 {
+				if n.Ellipsis.IsValid() {
+					continue // passing a slice through ... doesn't box per element
+				}
+				pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+			} else if i < params.Len() {
+				pt = params.At(i).Type()
+			}
+			flagIfaceConv(pass, rep, arg, pt)
+		}
+	case *ast.AssignStmt:
+		if len(n.Lhs) != len(n.Rhs) {
+			return
+		}
+		for i := range n.Lhs {
+			flagIfaceConv(pass, rep, n.Rhs[i], info.TypeOf(n.Lhs[i]))
+		}
+	}
 }

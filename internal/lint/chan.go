@@ -1,14 +1,17 @@
 package lint
 
-// chan.go is the channel-protocol layer of the concurrency contract:
-// where elsactxflow asks "can this blocking op be cancelled?" and
-// elsalocksafe syntactically screens goroutine launches, elsachan
-// models every channel as a cell with send/receive/close edges —
-// including edges through goroutine closures and struct fields — and
-// checks the ownership discipline the pipeline's stage graph is built
-// on: exactly one closer, the closer is the owner, nothing sends after
-// close, and no goroutine's only exit is a channel op with no
-// guaranteed counterpart.
+// chan.go is the goroutine and channel-protocol layer of the
+// concurrency contract: where elsactxflow asks "can this blocking op be
+// cancelled?", elsachan models every channel as a cell with
+// send/receive/close edges — including edges through goroutine
+// closures and struct fields — and checks the ownership discipline
+// every channel-sharing goroutine is built on: exactly one closer, the
+// closer is the owner, nothing sends after close, and no goroutine's
+// only exit is a channel op with no guaranteed counterpart. The same
+// walk over every go'd closure checks its join discipline:
+// WaitGroup.Add happens before the go statement, and a goroutine
+// launched from a ctx-taking function references ctx or joins a
+// WaitGroup. Lock copies are upstream copylocks' finding.
 //
 // Ownership. The owner of a channel is the goroutine (function body or
 // go'd closure) that created it, or one explicitly handed the cell with
@@ -41,15 +44,16 @@ import (
 // goroutine launch site or a whole function.
 const chanOwnerDirective = "//elsa:chanowner"
 
-// ChanAnalyzer enforces channel close discipline and flags
-// goroutine-leak shapes. elsalocksafe's syntactic "uncancellable
-// goroutine" check is its pre-pass (the way elsahotpath screens for
-// elsaalloc), so //nolint:elsalocksafe suppressions carry over.
+// ChanAnalyzer enforces channel close discipline and goroutine join
+// discipline, and flags goroutine-leak shapes. The join checks were
+// once part of a separate analyzer, elsalocksafe; //nolint:elsalocksafe
+// stays an accepted alias for //nolint:elsachan.
 var ChanAnalyzer = &analysis.Analyzer{
 	Name: "elsachan",
 	Doc: "model channels as cells with send/recv/close edges and report double-close, " +
-		"close-by-non-owner, sends reachable after close, and goroutines whose only exit " +
-		"is a blocking channel op with no guaranteed counterpart",
+		"close-by-non-owner, sends reachable after close, goroutines whose only exit " +
+		"is a blocking channel op with no guaranteed counterpart, WaitGroup.Add inside the " +
+		"goroutine it guards, and goroutines in cancellable functions with no cancellation or join path",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runChan,
 }
@@ -83,6 +87,7 @@ type chanClose struct {
 // chanGoroutine is one go'd function literal and the blocking ops
 // observed in it.
 type chanGoroutine struct {
+	pos    token.Pos // the go statement
 	lit    *ast.FuncLit
 	owned  []string // channel names from an //elsa:chanowner launch annotation
 	hasCtx bool     // the body references a context value (an exit path exists)
@@ -112,9 +117,7 @@ type chanScope struct {
 func runChan(pass *analysis.Pass) (interface{}, error) {
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 	rep := newReporter(pass)
-	// elsalocksafe's goroutine screen is the syntactic pre-pass of the
-	// leak analysis: one contract, two depths, one suppression.
-	rep.sup.aliases = []string{LockSafeAnalyzer.Name}
+	rep.sup.aliases = []string{"elsalocksafe"}
 	ownerIdx := chanOwnerIndex(pass)
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fn := n.(*ast.FuncDecl)
@@ -136,6 +139,7 @@ func runChan(pass *analysis.Pass) (interface{}, error) {
 		cs.checkCloses(rep)
 		cs.checkSendAfterClose(rep)
 		cs.checkLeaks(rep)
+		cs.checkJoins(rep)
 	})
 	return nil, nil
 }
@@ -267,7 +271,7 @@ func (cs *chanScope) collect(n ast.Node, goLit *ast.FuncLit, inLoop bool) {
 		return
 	case *ast.GoStmt:
 		if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-			g := &chanGoroutine{lit: lit, owned: cs.goAnnotations(n)}
+			g := &chanGoroutine{pos: n.Pos(), lit: lit, owned: cs.goAnnotations(n)}
 			g.hasCtx = referencesContext(cs.pass.TypesInfo, lit.Body)
 			cs.gos = append(cs.gos, g)
 			for _, arg := range n.Call.Args {
@@ -761,6 +765,48 @@ func (cs *chanScope) checkLeaks(rep *reporter) {
 				rep.reportf(op.pos, "chan: goroutine's only exit is a blocking receive from %s with no close, sender, "+
 					"or ctx.Done() select in scope; it can leak", cell.name)
 			}
+		}
+	}
+}
+
+// checkJoins flags, in every go'd closure, WaitGroup.Add on a
+// WaitGroup shared with the launcher — Wait can run before the Add,
+// so Add belongs before the go statement — and, in a ctx-taking
+// function, a goroutine with neither a ctx reference nor a
+// WaitGroup.Done join, which can leak past cancellation.
+func (cs *chanScope) checkJoins(rep *reporter) {
+	info := cs.pass.TypesInfo
+	cancellable := hasCtxParam(info, cs.fn)
+	for _, g := range cs.gos {
+		joined := false
+		ast.Inspect(g.lit.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			obj, _ := info.Uses[sel.Sel].(*types.Func)
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+				return true
+			}
+			if recv := obj.Type().(*types.Signature).Recv(); recv == nil || !strings.Contains(recv.Type().String(), "WaitGroup") {
+				return true
+			}
+			switch obj.Name() {
+			case "Add":
+				if declaredOutside(info, sel.X, g.lit) {
+					rep.reportf(call.Pos(), "chan: WaitGroup.Add inside the goroutine it guards races Wait; call Add before the go statement")
+				}
+			case "Done":
+				joined = true
+			}
+			return true
+		})
+		if cancellable && !joined && !g.hasCtx {
+			rep.reportf(g.pos, "chan: goroutine in a cancellable function has neither a ctx reference nor a WaitGroup join; it can leak past cancellation")
 		}
 	}
 }

@@ -16,37 +16,44 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
+// loadRealFiles loads one fixture package from the real package at
+// pkgDir: src stands in for the file name, and the named siblings ride
+// along unmutated so the package typechecks.
+func loadRealFiles(t *testing.T, pkgDir, name, src string, siblings ...string) *fixture {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, sib := range siblings {
+		b, err := os.ReadFile(filepath.Join(pkgDir, sib))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, sib), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return loadFixture(t, dir)
+}
+
 // TestLockOrderMutationGuard loads the REAL resilience supervisor
 // source, verifies it clean, then appends two functions acquiring
 // Supervisor.mu and an auxiliary mutex in opposite orders — the
 // textbook deadlock — and demands elsalockorder report the cycle.
 func TestLockOrderMutationGuard(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("..", "resilience", "resilience.go"))
+	pkgDir := filepath.Join("..", "resilience")
+	src, err := os.ReadFile(filepath.Join(pkgDir, "resilience.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// resilience.go references the Backoff helper; its file rides along
-	// unmutated so the single-package fixture typechecks.
-	aux, err := os.ReadFile(filepath.Join("..", "resilience", "backoff.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := func(main string) *fixture {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "sess.go"), []byte(main), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "backoff.go"), aux, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return loadFixture(t, dir)
-	}
+	// resilience.go references the Backoff helper.
+	load := func(main string) *fixture { return loadRealFiles(t, pkgDir, "resilience.go", main, "backoff.go") }
 
 	// Control: the shipped supervisor has a consistent lock order.
 	if diags := runAnalyzers(t, load(string(src)), []*analysis.Analyzer{LockOrderAnalyzer}); len(diags) != 0 {
 		t.Fatalf("control (real resilience.go) should be clean, got: %v", diags)
 	}
-
 	// Mutant: a second mutex taken in both orders relative to s.mu.
 	mutant := string(src) + `
 var mutAux sync.Mutex
@@ -79,62 +86,34 @@ func (s *Supervisor) mutReverse() {
 	}
 }
 
-// pipelineShapedTmpl is a goroutine-per-stage fixture: buffered stage
-// channels, each closed by the annotated goroutine that owns it. No
-// production code has this shape any more; the fixture keeps the
-// double-close gate exercised on a realistic channel graph.
-const pipelineShapedTmpl = `package pipeline
-
-import "sync"
-
-func run(n int) []int {
-	recCh := make(chan int, 8)
-	outCh := make(chan int, 8)
-	var wg sync.WaitGroup
-
-	wg.Add(1)
-	//elsa:chanowner recCh
-	go func() {
-		defer wg.Done()
-		defer close(recCh)
-		for i := 0; i < n; i++ {
-			recCh <- i
-		}
-	}()
-
-	wg.Add(1)
-	//elsa:chanowner outCh
-	go func() {
-		defer wg.Done()
-		defer close(outCh)
-		for v := range recCh {
-			outCh <- v * v
-		}
-%s	}()
-
-	var out []int
-	for v := range outCh {
-		out = append(out, v)
-	}
-	wg.Wait()
-	return out
-}
-`
-
-// TestChanMutationGuard injects a second close of a stage channel into
-// the run-shaped control and demands elsachan report the double close.
+// TestChanMutationGuard loads the REAL ingest socket backend, verifies
+// it clean, then closes its done channel a second time in Close and
+// demands elsachan report the double close.
 func TestChanMutationGuard(t *testing.T) {
-	clean := fmt.Sprintf(pipelineShapedTmpl, "")
-	if diags := runAnalyzers(t, loadSource(t, clean), []*analysis.Analyzer{ChanAnalyzer}); len(diags) != 0 {
-		t.Fatalf("control fixture should be clean, got: %v", diags)
+	pkgDir := filepath.Join("..", "ingest")
+	src, err := os.ReadFile(filepath.Join(pkgDir, "socket.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// socket.go uses the frame codec and the package's Offset/Stats types.
+	load := func(main string) *fixture {
+		return loadRealFiles(t, pkgDir, "socket.go", main, "frame.go", "ingest.go")
 	}
 
-	mutant := fmt.Sprintf(pipelineShapedTmpl, "\t\tclose(outCh)\n")
-	diags := runAnalyzers(t, loadSource(t, mutant), []*analysis.Analyzer{ChanAnalyzer})
+	if diags := runAnalyzers(t, load(string(src)), []*analysis.Analyzer{ChanAnalyzer}); len(diags) != 0 {
+		t.Fatalf("control (real socket.go) should be clean, got: %v", diags)
+	}
+
+	const closeDone = "\tclose(s.done)\n"
+	if n := strings.Count(string(src), closeDone); n != 1 {
+		t.Fatalf("socket.go closes s.done %d times, want exactly 1 to mutate", n)
+	}
+	mutant := strings.Replace(string(src), closeDone, closeDone+closeDone, 1)
+	diags := runAnalyzers(t, load(mutant), []*analysis.Analyzer{ChanAnalyzer})
 	if len(diags) != 1 {
 		t.Fatalf("mutant should produce exactly one finding, got %d: %v", len(diags), diags)
 	}
-	if msg := diags[0].Message; !strings.Contains(msg, "outCh") || !strings.Contains(msg, "closed more than once") {
+	if msg := diags[0].Message; !strings.Contains(msg, "s.done") || !strings.Contains(msg, "closed more than once") {
 		t.Fatalf("finding does not describe the double close: %s", msg)
 	}
 }

@@ -1,14 +1,19 @@
 package lint
 
-// detflow.go is the taint layer of the determinism contract.
-// elsadeterminism is its syntactic pre-pass (the elsahotpath→elsaalloc
-// pattern): inside the training packages it bans every wall-clock
-// read, global-rand call and unsorted map-order escape outright,
-// because the trained model must be bit-identical across runs.
-// elsadetflow covers the wider serving surface — pipeline, fleet,
-// ingest and the root package — where nondeterminism is only a bug
-// when it *reaches replayed output*: predictions, snapshot/journal
-// bytes, or exported stats. It tracks taint from four source families:
+// detflow.go is the determinism contract, at two strengths.
+//
+// Inside the training packages (sig, gradual, correlate, predict) the
+// trained model must be bit-identical across runs, so every use of a
+// wall-clock or global-rand function (calls and function values alike,
+// package-level declarations included) and every slice appended under
+// a range-over-map and never sorted in its function is a finding by
+// itself. These are the rules a separate elsadeterminism analyzer once
+// enforced; //nolint:elsadeterminism stays an accepted alias.
+//
+// Across the wider serving surface — pipeline, fleet, ingest and the
+// root package — nondeterminism is only a bug when it *reaches
+// replayed output*: predictions, snapshot/journal bytes, or exported
+// stats. There the analyzer tracks taint from four source families:
 //
 //   - wall clock: time.Now / time.Since / time.Until
 //   - global randomness: package-level math/rand functions
@@ -29,8 +34,8 @@ package lint
 // line (or the line above): operational telemetry that is allowed to
 // be wall-clock-stamped carries its justification in the code, and a
 // reasonless escape is itself a finding, exactly like a reasonless
-// //nolint. A //nolint:elsadeterminism suppression also covers this
-// analyzer — one contract, two depths, one suppression.
+// //nolint. The escape hatch covers taint findings only; the training
+// packages' outright bans answer to //nolint alone.
 
 import (
 	"go/ast"
@@ -45,20 +50,26 @@ import (
 
 const nondetOkDirective = "//elsa:nondet-ok"
 
-// DetFlowAnalyzer reports nondeterminism that reaches replayed output.
+// DetFlowAnalyzer bans nondeterminism sources in the training packages
+// and reports nondeterminism that reaches replayed output elsewhere.
 var DetFlowAnalyzer = &analysis.Analyzer{
 	Name: "elsadetflow",
-	Doc: "track wall-clock, global-rand and iteration/arrival-order taint through the " +
-		"serving path and report it only where it reaches prediction output, snapshot or " +
-		"journal bytes, or exported stats",
+	Doc: "in training packages, report wall-clock reads, global math/rand use and unsorted " +
+		"map-order output; elsewhere, track wall-clock, global-rand and iteration/arrival-order " +
+		"taint through the serving path and report it where it reaches prediction output, " +
+		"snapshot or journal bytes, or exported stats",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      runDetFlow,
 }
 
+// trainingPackages are the packages whose output is the trained model:
+// nondeterminism sources are banned there outright.
+const trainingPackages = "sig,gradual,correlate,predict"
+
 // detFlowPackages scopes the taint analysis to the packages whose
 // output is replayed or persisted. The training packages are included
-// for defence in depth: elsadeterminism bans the sources there
-// outright, so anything detflow finds in them is already covered.
+// for defence in depth: the outright ban already covers the sources
+// there.
 var detFlowPackages = "sig,gradual,correlate,predict,pipeline,fleet,ingest,elsa"
 
 func init() {
@@ -73,34 +84,34 @@ type taintInfo struct {
 }
 
 func runDetFlow(pass *analysis.Pass) (interface{}, error) {
-	scoped := false
-	for _, p := range strings.Split(detFlowPackages, ",") {
-		if strings.TrimSpace(p) == pass.Pkg.Name() {
-			scoped = true
-			break
-		}
-	}
-	if !scoped {
+	training := inPackageList(trainingPackages, pass.Pkg.Name())
+	taint := inPackageList(detFlowPackages, pass.Pkg.Name())
+	if !training && !taint {
 		return nil, nil
 	}
 	rep := newReporter(pass)
-	// elsadeterminism is the syntactic pre-pass of this contract: its
-	// suppressions carry over.
-	rep.sup.aliases = []string{DeterminismAnalyzer.Name}
+	rep.sup.aliases = []string{"elsadeterminism"}
 
 	df := &detFlow{
 		pass:      pass,
 		rep:       rep,
+		training:  training,
+		taint:     taint,
 		okLines:   nondetOkIndex(pass, rep),
 		snapTypes: snapshotAnnotatedTypes(pass),
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fn := n.(*ast.FuncDecl)
-		if fn.Body == nil || inTestFile(pass.Fset, fn.Pos()) {
-			return
+	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil), (*ast.SelectorExpr)(nil)}, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if training && !inTestFile(pass.Fset, n.Pos()) {
+				df.banSource(n)
+			}
+		case *ast.FuncDecl:
+			if n.Body != nil && !inTestFile(pass.Fset, n.Pos()) {
+				df.checkFunc(n)
+			}
 		}
-		df.checkFunc(fn)
 	})
 	return nil, nil
 }
@@ -172,6 +183,8 @@ func snapshotAnnotatedTypes(pass *analysis.Pass) map[*types.TypeName]bool {
 type detFlow struct {
 	pass      *analysis.Pass
 	rep       *reporter
+	training  bool // sources and map-order appends are findings by themselves
+	taint     bool // run the source-to-sink taint analysis
 	okLines   map[string]map[int]bool
 	snapTypes map[*types.TypeName]bool
 }
@@ -200,6 +213,9 @@ func (df *detFlow) checkFunc(fn *ast.FuncDecl) {
 	taints := make(map[string]taintInfo)
 
 	df.seedOrderTaints(fn, taints, sorted)
+	if !df.taint {
+		return
+	}
 	// Forward value propagation through assignments; two passes so a
 	// later-defined helper value feeding an earlier loop converges.
 	for i := 0; i < 2; i++ {
@@ -211,8 +227,7 @@ func (df *detFlow) checkFunc(fn *ast.FuncDecl) {
 }
 
 // sortedRoots is every storage path handed to a sort call anywhere in
-// the function (the determinism pre-pass convention: an explicit sort
-// re-establishes order determinism).
+// the function: an explicit sort re-establishes order determinism.
 func (df *detFlow) sortedRoots(fn *ast.FuncDecl) map[string]bool {
 	info := df.pass.TypesInfo
 	sorted := map[string]bool{}
@@ -233,6 +248,8 @@ func (df *detFlow) sortedRoots(fn *ast.FuncDecl) map[string]bool {
 				}
 			}
 		case *ast.Ident:
+			// Project-local canonicalisers (SortHits, SortByTime, ...)
+			// count: the contract is an explicit sort, wherever it lives.
 			isSort = strings.Contains(fun.Name, "Sort") || strings.Contains(fun.Name, "sort")
 		}
 		if isSort {
@@ -247,6 +264,46 @@ func (df *detFlow) sortedRoots(fn *ast.FuncDecl) map[string]bool {
 	return sorted
 }
 
+// nondetSource classifies a function as a nondeterminism source:
+// "wall-clock" or "global-rand", "" otherwise. Only package-level
+// functions count: methods on an explicitly seeded *rand.Rand, and the
+// constructors over explicit seeds, are the sanctioned way to get
+// randomness.
+func nondetSource(obj *types.Func) string {
+	if obj == nil || obj.Pkg() == nil || obj.Type().(*types.Signature).Recv() != nil {
+		return ""
+	}
+	switch obj.Pkg().Path() {
+	case "time":
+		switch obj.Name() {
+		case "Now", "Since", "Until":
+			return "wall-clock"
+		}
+	case "math/rand", "math/rand/v2":
+		switch obj.Name() {
+		case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
+		default:
+			return "global-rand"
+		}
+	}
+	return ""
+}
+
+// banSource reports a training-package use of a nondeterminism source.
+// Selector uses, not just calls: assigning time.Now to a clock variable
+// is the sanctioned injection seam, and it must carry the nolint that
+// documents it.
+func (df *detFlow) banSource(sel *ast.SelectorExpr) {
+	obj, _ := df.pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	switch nondetSource(obj) {
+	case "wall-clock":
+		df.rep.reportf(sel.Pos(), "determinism: time.%s reads the wall clock; inject a clock or timestamp instead", obj.Name())
+	case "global-rand":
+		df.rep.reportf(sel.Pos(), "determinism: %s.%s uses the shared global source; use an explicitly seeded *rand.Rand",
+			obj.Pkg().Name(), obj.Name())
+	}
+}
+
 // sourceTaint classifies a call as a nondeterminism source.
 func (df *detFlow) sourceTaint(call *ast.CallExpr) (taintInfo, bool) {
 	var obj *types.Func
@@ -256,24 +313,11 @@ func (df *detFlow) sourceTaint(call *ast.CallExpr) (taintInfo, bool) {
 	case *ast.Ident:
 		obj, _ = df.pass.TypesInfo.Uses[fun].(*types.Func)
 	}
-	if obj == nil || obj.Pkg() == nil || obj.Type().(*types.Signature).Recv() != nil {
+	kind := nondetSource(obj)
+	if kind == "" {
 		return taintInfo{}, false
 	}
-	switch obj.Pkg().Path() {
-	case "time":
-		switch obj.Name() {
-		case "Now", "Since", "Until":
-			return taintInfo{kind: "wall-clock value from time." + obj.Name(), pos: call.Pos()}, true
-		}
-	case "math/rand", "math/rand/v2":
-		switch obj.Name() {
-		case "New", "NewSource", "NewZipf", "NewPCG", "NewChaCha8":
-			// Constructors over explicit seeds are deterministic.
-		default:
-			return taintInfo{kind: "global-rand value from " + obj.Pkg().Name() + "." + obj.Name(), pos: call.Pos()}, true
-		}
-	}
-	return taintInfo{}, false
+	return taintInfo{kind: kind + " value from " + obj.Pkg().Name() + "." + obj.Name(), pos: call.Pos()}, true
 }
 
 // taintOf reports the taint an expression carries: a direct source
@@ -371,9 +415,11 @@ func (df *detFlow) propagate(fn *ast.FuncDecl, taints map[string]taintInfo) {
 }
 
 // seedOrderTaints marks slices whose element order depends on map
-// iteration, select arrival, or goroutine completion.
+// iteration, select arrival, or goroutine completion. In the training
+// packages each unsorted map-order append is also reported.
 func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo, sorted map[string]bool) {
 	info := df.pass.TypesInfo
+	banned := make(map[*ast.AssignStmt]bool) // nested map ranges visit an append twice
 	seed := func(target string, kind string, pos token.Pos) {
 		if target == "" || sorted[target] {
 			return
@@ -416,6 +462,12 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 		case *ast.RangeStmt:
 			if _, isMap := info.TypeOf(n.X).Underlying().(*types.Map); isMap {
 				appendTargets(n.Body, func(asg *ast.AssignStmt, target string) {
+					if df.training && target != "" && !sorted[target] && !banned[asg] {
+						banned[asg] = true
+						df.rep.reportf(asg.Pos(),
+							"determinism: %s is built in map iteration order and never sorted in this function; sort it (or //nolint:elsadetflow with the invariant that makes order irrelevant)",
+							target)
+					}
 					seed(target, "map-iteration-ordered elements", asg.Pos())
 				})
 			}
@@ -436,7 +488,7 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 		case *ast.GoStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				appendTargets(lit.Body, func(asg *ast.AssignStmt, target string) {
-					if df.declaredOutside(asg.Lhs[0], lit) {
+					if declaredOutside(info, asg.Lhs[0], lit) {
 						seed(target, "goroutine-completion-ordered elements", asg.Pos())
 					}
 				})
@@ -444,29 +496,6 @@ func (df *detFlow) seedOrderTaints(fn *ast.FuncDecl, taints map[string]taintInfo
 		}
 		return true
 	})
-}
-
-// declaredOutside reports whether the base identifier of an lvalue is
-// declared outside the closure — the shared-slice append whose final
-// order is a scheduling artifact.
-func (df *detFlow) declaredOutside(e ast.Expr, lit *ast.FuncLit) bool {
-	for {
-		switch x := e.(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			obj := objOf(df.pass.TypesInfo, x)
-			return obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End())
-		default:
-			return false
-		}
-	}
 }
 
 // checkReturns flags tainted values returned from exported functions.

@@ -47,14 +47,7 @@ var errAccountingNames = map[string]bool{
 }
 
 func runErrFlow(pass *analysis.Pass) (interface{}, error) {
-	scoped := false
-	for _, p := range strings.Split(errFlowPackages, ",") {
-		if strings.TrimSpace(p) == pass.Pkg.Name() {
-			scoped = true
-			break
-		}
-	}
-	if !scoped {
+	if !inPackageList(errFlowPackages, pass.Pkg.Name()) {
 		return nil, nil
 	}
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)

@@ -783,7 +783,8 @@ func (f *funcFlow) scanBuiltin(call *ast.CallExpr, name string) []*cell {
 	case "append":
 		// The result carries both the (possibly reused) backing array of
 		// the first argument and every appended value. The growth
-		// allocation itself is elsahotpath's finding, not a site here.
+		// allocation itself is the syntactic layer's finding
+		// (checkHotCall), not a site here.
 		var out []*cell
 		for _, a := range call.Args {
 			out = append(out, f.scanExpr(a)...)

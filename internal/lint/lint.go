@@ -4,36 +4,29 @@
 // lock usage — into compile-time contracts instead of benchmark
 // aspirations.
 //
-// The suite ships thirteen analyzers:
+// The suite ships ten project analyzers, one per contract, plus the
+// upstream copylocks analyzer (vendored unmodified from x/tools), which
+// flags locks copied by value:
 //
-//   - elsahotpath: a fast syntactic pre-pass over //elsa:hotpath
-//     functions for constructs that always cost an allocation (append
-//     growth, fmt formatting, goroutine launches, implicit interface
-//     conversions, string<->[]byte conversions).
-//   - elsaalloc: the dataflow layer of the same contract — make, new,
-//     composite literals and closures in //elsa:hotpath kernels are
-//     proven stack-allocatable (non-escaping, constant size) or
-//     reported with their concrete escape path; proven functions
-//     export an AllocFreeFact.
-//   - elsadeterminism: the training packages (sig, gradual, correlate,
-//     predict) must not read wall clocks, use the global math/rand
-//     source, or let map iteration order escape into ordered output
-//     without a sort.
+//   - elsaalloc: the allocation contract of //elsa:hotpath kernels —
+//     constructs that always allocate (append growth, fmt formatting,
+//     goroutine launches, implicit interface conversions,
+//     string<->[]byte conversions) are flagged, and make, new,
+//     composite literals and closures are proven stack-allocatable
+//     (non-escaping, constant size) or reported with their concrete
+//     escape path; proven functions export an AllocFreeFact.
 //   - elsactxflow: in any function that takes a context.Context, every
 //     blocking channel operation must live in a select that also waits
 //     on ctx.Done() (or have a default case); bare sends, bare
 //     receives and channel ranges are flagged.
-//   - elsalocksafe: flags locks copied by value (params, receivers,
-//     assignments, range copies), WaitGroup.Add called inside the
-//     goroutine it guards, and goroutines launched from cancellable
-//     functions with neither a cancellation nor a join path (the
-//     syntactic pre-pass of elsachan's leak analysis).
 //   - elsachan: models every channel as a cell with send/recv/close
 //     edges — through goroutine closures and struct fields — and flags
 //     double-close, close-by-non-owner (ownership = creating scope or
 //     an //elsa:chanowner annotation), sends reachable after a close,
-//     and goroutines whose only exit is a blocking channel op with no
-//     guaranteed counterpart and no ctx.Done() select.
+//     goroutines whose only exit is a blocking channel op with no
+//     guaranteed counterpart and no ctx.Done() select, WaitGroup.Add
+//     inside the goroutine it guards, and goroutines launched from
+//     cancellable functions with neither a cancellation nor a join path.
 //   - elsalockorder: builds the interprocedural lock-acquisition graph
 //     (locks held at each acquire, propagated through calls via
 //     LockOrderFact/LockGraphFact) and reports any cycle as a
@@ -55,11 +48,14 @@
 //     on its methods) verified by a may-state abstract interpreter —
 //     no Feed after Close, snapshot-before-retire, breaker state
 //     discipline — composing across packages through StateFacts.
-//   - elsadetflow: the taint layer of the determinism contract —
+//   - elsadetflow: the determinism contract — the training packages
+//     (sig, gradual, correlate, predict) must not read wall clocks, use
+//     the global math/rand source, or let map iteration order escape
+//     into ordered output without a sort; across the serving path,
 //     wall-clock, global-rand and iteration/arrival-order values are
-//     tracked through the serving path and reported only where they
-//     reach prediction output, snapshot/journal bytes or exported
-//     stats; //elsa:nondet-ok <reason> is the audited escape hatch.
+//     tracked and reported where they reach prediction output,
+//     snapshot/journal bytes or exported stats; //elsa:nondet-ok
+//     <reason> is the audited escape hatch for the latter.
 //   - elsanolint: audits the //nolint:elsa... escape hatches themselves
 //     — every suppression must name known analyzers and carry a reason.
 //
@@ -67,7 +63,11 @@
 // finding's line or the line above, where <name> is the analyzer name or
 // the blanket "elsa". A reason is mandatory, introduced by "//" or "--":
 //
-//	//nolint:elsahotpath // grows once, then reused across all pairs
+//	//nolint:elsaalloc // grows once, then reused across all pairs
+//
+// The names of analyzers since folded into another stay valid aliases
+// of the one that absorbed them: elsahotpath of elsaalloc,
+// elsadeterminism of elsadetflow, elsalocksafe of elsachan.
 //
 // elsanolint rejects reasonless or unknown-name suppressions, so the
 // escape hatch cannot silently rot.
@@ -76,18 +76,17 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
+	"golang.org/x/tools/go/analysis/passes/copylock"
 )
 
 // Analyzers is the full elsavet suite, in stable order.
 var Analyzers = []*analysis.Analyzer{
-	HotPathAnalyzer,
 	AllocAnalyzer,
-	DeterminismAnalyzer,
 	CtxFlowAnalyzer,
-	LockSafeAnalyzer,
 	ChanAnalyzer,
 	LockOrderAnalyzer,
 	ErrFlowAnalyzer,
@@ -96,11 +95,13 @@ var Analyzers = []*analysis.Analyzer{
 	StateAnalyzer,
 	DetFlowAnalyzer,
 	NolintAnalyzer,
+	copylock.Analyzer,
 }
 
 // analyzerNames returns the set of valid //nolint targets. Spelled as a
 // literal (not derived from Analyzers) to avoid an initialization cycle
-// through NolintAnalyzer.
+// through NolintAnalyzer. elsahotpath, elsadeterminism and elsalocksafe
+// are the aliases of elsaalloc, elsadetflow and elsachan.
 func analyzerNames() map[string]bool {
 	return map[string]bool{
 		"elsa":            true,
@@ -277,6 +278,41 @@ func (r *reporter) report(d analysis.Diagnostic) {
 // inTestFile reports whether pos lands in a _test.go file.
 func inTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
+}
+
+// inPackageList reports whether name is one of the comma-separated
+// package names in list.
+func inPackageList(list, name string) bool {
+	for _, p := range strings.Split(list, ",") {
+		if strings.TrimSpace(p) == name {
+			return true
+		}
+	}
+	return false
+}
+
+// declaredOutside reports whether the storage expression e names is
+// declared outside the function literal lit — state a goroutine shares
+// with its launcher. e is walked down to its base identifier (s.wg[i]
+// → s); a base that is not a resolvable identifier counts as shared.
+func declaredOutside(info *types.Info, e ast.Expr, lit *ast.FuncLit) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.Ident:
+			obj := objOf(info, x)
+			return obj == nil || obj.Pos() < lit.Pos() || obj.Pos() > lit.End()
+		default:
+			return true
+		}
+	}
 }
 
 // rootString renders the static "path" of an expression (identifiers,

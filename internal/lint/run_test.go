@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+	"golang.org/x/tools/go/analysis/passes/copylock"
 	"golang.org/x/tools/go/analysis/passes/inspect"
 	"golang.org/x/tools/go/ast/inspector"
 )
@@ -242,13 +243,17 @@ func runOn(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	}
 }
 
-func TestHotPath(t *testing.T)     { runOn(t, "hotpath", HotPathAnalyzer) }
+// TestHotPath, TestDeterminism and TestLockSafe keep the fixtures of
+// the analyzers folded into elsaalloc, elsadetflow and elsachan (the
+// lock-copy lines now answer to upstream copylocks), so every finding
+// class they pinned stays pinned.
+func TestHotPath(t *testing.T)     { runOn(t, "hotpath", AllocAnalyzer) }
 func TestAlloc(t *testing.T)       { runOn(t, "alloc", AllocAnalyzer) }
 func TestSnapshot(t *testing.T)    { runOn(t, "snapshotfix", SnapshotAnalyzer) }
 func TestAtomic(t *testing.T)      { runOn(t, "atomicmix", AtomicAnalyzer) }
-func TestDeterminism(t *testing.T) { runOn(t, "determinism", DeterminismAnalyzer) }
+func TestDeterminism(t *testing.T) { runOn(t, "determinism", DetFlowAnalyzer) }
 func TestCtxFlow(t *testing.T)     { runOn(t, "ctxflow", CtxFlowAnalyzer) }
-func TestLockSafe(t *testing.T)    { runOn(t, "locksafe", LockSafeAnalyzer) }
+func TestLockSafe(t *testing.T)    { runOn(t, "locksafe", ChanAnalyzer, copylock.Analyzer) }
 func TestChanFlow(t *testing.T)    { runOn(t, "chanflow", ChanAnalyzer) }
 func TestLockOrder(t *testing.T)   { runOn(t, "lockorder", LockOrderAnalyzer) }
 func TestErrFlow(t *testing.T)     { runOn(t, "errflow", ErrFlowAnalyzer) }
@@ -256,9 +261,9 @@ func TestState(t *testing.T)       { runOn(t, "state", StateAnalyzer) }
 func TestDetFlow(t *testing.T)     { runOn(t, "detflow", DetFlowAnalyzer) }
 func TestNolint(t *testing.T) {
 	// The nolint fixture exercises suppression end to end: the package is
-	// named sig so elsadeterminism applies, and the audit analyzer runs
-	// alongside to flag malformed directives.
-	runOn(t, "nolint", DeterminismAnalyzer, NolintAnalyzer)
+	// named sig so elsadetflow's training-package ban applies, and the
+	// audit analyzer runs alongside to flag malformed directives.
+	runOn(t, "nolint", DetFlowAnalyzer, NolintAnalyzer)
 }
 
 func TestParseNolint(t *testing.T) {

@@ -42,10 +42,12 @@ type modulePkg struct {
 }
 
 // moduleLoader typechecks module packages from source. It implements
-// types.Importer: module-internal import paths resolve through its own
-// cache (keeping types.Object identity stable across packages, which
-// facts require), everything else through the source importer, which
-// handles the vendor directory.
+// types.Importer: module-internal and vendored import paths resolve
+// through its own cache (keeping types.Object identity stable across
+// packages, which facts require), the standard library through the
+// source importer. Vendored packages are read straight from vendor/
+// with function bodies skipped, as the build reads them; the source
+// importer would spend a `go list` per package to find them.
 type moduleLoader struct {
 	fset    *token.FileSet
 	modPath string
@@ -71,7 +73,7 @@ func (l *moduleLoader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
-	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
+	if l.inModule(path) || l.vendored(path) {
 		p, err := l.loadPath(path)
 		if err != nil {
 			return nil, err
@@ -79,6 +81,19 @@ func (l *moduleLoader) Import(path string) (*types.Package, error) {
 		return p.pkg, nil
 	}
 	return l.ext.Import(path)
+}
+
+func (l *moduleLoader) inModule(path string) bool {
+	return path == l.modPath || strings.HasPrefix(path, l.modPath+"/")
+}
+
+func (l *moduleLoader) vendorDir(path string) string {
+	return filepath.Join(l.root, "vendor", filepath.FromSlash(path))
+}
+
+func (l *moduleLoader) vendored(path string) bool {
+	fi, err := os.Stat(l.vendorDir(path))
+	return err == nil && fi.IsDir()
 }
 
 func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
@@ -92,6 +107,10 @@ func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
 	defer delete(l.loading, path)
 
 	dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, l.modPath), "/")))
+	vendored := !l.inModule(path)
+	if vendored {
+		dir = l.vendorDir(path)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -117,15 +136,18 @@ func (l *moduleLoader) loadPath(path string) (*modulePkg, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("no buildable go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Implicits:  make(map[ast.Node]types.Object),
+	var info *types.Info // vendored packages are dependencies only, never analyzed
+	if !vendored {
+		info = &types.Info{
+			Types:      make(map[ast.Expr]types.TypeAndValue),
+			Defs:       make(map[*ast.Ident]types.Object),
+			Uses:       make(map[*ast.Ident]types.Object),
+			Selections: make(map[*ast.SelectorExpr]*types.Selection),
+			Scopes:     make(map[ast.Node]*types.Scope),
+			Implicits:  make(map[ast.Node]types.Object),
+		}
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: l, IgnoreFuncBodies: vendored}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)

@@ -135,7 +135,7 @@ func TestStandaloneJSON(t *testing.T) {
 	}
 }
 
-// TestStandaloneDeterministic applies the elsadeterminism contract to
+// TestStandaloneDeterministic applies the determinism contract to
 // the suite itself: two passes over the same tree must produce
 // byte-identical, sorted output — in both the text and JSON forms.
 func TestStandaloneDeterministic(t *testing.T) {

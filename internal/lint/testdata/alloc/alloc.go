@@ -42,7 +42,7 @@ func escapesToGlobal() {
 
 //elsa:hotpath
 func escapesThroughField(s *scratch) {
-	s.out = append(s.out, &scratch{}) // want "&composite literal escapes"
+	s.out = append(s.out, &scratch{}) // want "&composite literal escapes" "append may grow and allocate"
 }
 
 //elsa:hotpath
@@ -130,8 +130,8 @@ func addrStaysLocal() int {
 	return xs[0] + p.a
 }
 
-// suppressedLegacy: a reasoned //nolint:elsahotpath covers the proof
-// layer too — one contract, two depths.
+// suppressedLegacy: a reasoned //nolint:elsahotpath, the folded
+// analyzer's name, still suppresses elsaalloc.
 //
 //elsa:hotpath
 func (s *scratch) suppressedLegacy(n int) {

@@ -1,5 +1,6 @@
 // Package chanflow exercises elsachan: close discipline (single close,
-// owner-only close, no send after close) and goroutine-leak shapes.
+// owner-only close, no send after close), goroutine-leak shapes and
+// join discipline.
 package chanflow
 
 import "context"
@@ -161,4 +162,21 @@ func rangeClosed() {
 		}
 	}()
 	close(ch)
+}
+
+// ---- join discipline ----
+
+func uncancellable(ctx context.Context, n *int) {
+	go func() { // want "neither a ctx reference nor a WaitGroup join"
+		*n++
+	}()
+}
+
+// uncancellableSuppressed: elsalocksafe, the analyzer the join checks
+// came from, is still an accepted suppression name for them.
+func uncancellableSuppressed(ctx context.Context, n *int) {
+	//nolint:elsalocksafe // fixture: the folded analyzer's name is an alias of elsachan
+	go func() {
+		*n++
+	}()
 }

@@ -1,5 +1,5 @@
-// Package sig (fixture) seeds the three nondeterminism classes the
-// elsadeterminism analyzer flags in scoped packages: wall-clock reads,
+// Package sig (fixture) seeds the three nondeterminism classes
+// elsadetflow bans outright in the training packages: wall-clock reads,
 // the global rand source, and map order escaping into ordered output —
 // the bug class the pipeline's slot-indexed merges exist to prevent.
 package sig

@@ -1,7 +1,7 @@
-// Package hotpath seeds one violation of every construct the
-// elsahotpath pre-pass bans, plus clean and suppressed counterexamples.
-// The allocation sites escape analysis may rescue (make, new, composite
-// literals, closures) live in testdata/alloc, elsaalloc's fixture.
+// Package hotpath seeds one violation of every construct elsaalloc's
+// syntactic layer bans, plus clean and suppressed counterexamples. The
+// allocation sites escape analysis may rescue (make, new, composite
+// literals, closures) are covered in depth by testdata/alloc.
 package hotpath
 
 import "fmt"
@@ -29,8 +29,8 @@ func appends(xs []int, v int) []int {
 	return append(xs, v) // want "append may grow and allocate"
 }
 
-// stackable constructs are the proof layer's domain now: the pre-pass
-// stays silent here, elsaalloc decides.
+// stackable constructs are the proof layer's domain: the syntactic
+// layer stays silent here, and the flow layer proves them stack-allocatable.
 //
 //elsa:hotpath
 func stackable(n int) int {
@@ -72,7 +72,7 @@ func boxesOnReturn() boxer {
 
 //elsa:hotpath
 func spawns() {
-	go func() {}() // want "goroutine launch allocates a stack"
+	go func() {}() // want "goroutine launch allocates a stack" "closure escapes .passed to a goroutine"
 }
 
 // closure returns pair with the closure's own signature, not the
@@ -94,7 +94,7 @@ func closureReturns() any {
 }
 
 // suppressed shows the escape hatch: amortized growth into a reused
-// buffer, with the reason recorded.
+// buffer, with the reason recorded under the analyzer's old name.
 //
 //elsa:hotpath
 func (s *scratch) suppressed(v int) {

@@ -1,6 +1,6 @@
 // Package locksafe seeds copied locks, in-goroutine WaitGroup.Add and
-// leakable goroutines — the three concurrency mistakes the analyzer
-// exists to catch before the race detector has to.
+// leakable goroutines — the three concurrency mistakes copylocks and
+// elsachan exist to catch before the race detector has to.
 package locksafe
 
 import (
@@ -13,11 +13,11 @@ type guarded struct {
 	count int
 }
 
-func byValueParam(g guarded) int { // want "parameter passes a lock by value"
+func byValueParam(g guarded) int { // want "byValueParam passes lock by value: .*sync.Mutex"
 	return g.count
 }
 
-func (g guarded) method() int { // want "receiver passes a lock by value"
+func (g guarded) method() int { // want "method passes lock by value: .*sync.Mutex"
 	return g.count
 }
 
@@ -28,13 +28,13 @@ func (g *guarded) pointerMethod() int { // fine: shared, not copied
 }
 
 func assignmentCopy(g *guarded) {
-	snapshot := *g // want "assignment copies a lock"
+	snapshot := *g // want "assignment copies lock value to snapshot"
 	_ = snapshot.count
 }
 
 func rangeCopy(gs []guarded) int {
 	total := 0
-	for _, g := range gs { // want "range value copies a lock"
+	for _, g := range gs { // want "range var g copies lock"
 		total += g.count
 	}
 	return total
@@ -79,7 +79,7 @@ func leakyInCancellable(ctx context.Context, ch chan int) {
 	go func() { // want "neither a ctx reference nor a WaitGroup join"
 		for {
 			select {
-			case v, ok := <-ch:
+			case v, ok := <-ch: // want "blocking receive from ch with no close, sender"
 				if !ok {
 					return
 				}

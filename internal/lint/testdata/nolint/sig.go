@@ -1,6 +1,7 @@
 // Package sig (fixture) exercises the suppression machinery end to end:
-// well-formed nolints silence elsadeterminism; malformed ones are
-// flagged by elsanolint and do not suppress.
+// well-formed nolints silence elsadetflow (including through its
+// elsadeterminism alias); malformed ones are flagged by elsanolint and
+// do not suppress.
 package sig
 
 import "time"

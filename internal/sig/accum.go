@@ -224,7 +224,7 @@ func (ac *Accumulator) exactAdd(tick, e int) {
 		}
 	}
 	ac.mass += int64(len(ac.ring) - ac.head)
-	ac.ring = append(ac.ring, accSpike{T: tick, E: e}) //nolint:elsahotpath // amortized: the ring is bounded by the spikes inside one MaxLag window
+	ac.ring = append(ac.ring, accSpike{T: tick, E: e}) //nolint:elsaalloc // amortized: the ring is bounded by the spikes inside one MaxLag window
 	if ac.mass > int64(ac.cfg.Budget) {
 		ac.switchToBuckets()
 	}

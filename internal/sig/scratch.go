@@ -33,7 +33,7 @@ func (s *Scratch) LastKernel() KernelKind { return s.lastKernel }
 //elsa:hotpath
 func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
 	if cap(s.bitsA) < na {
-		s.bitsA = make([]uint64, na) //nolint:elsahotpath // amortized: grows to the largest span once, then reused for every pair
+		s.bitsA = make([]uint64, na) //nolint:elsaalloc // amortized: grows to the largest span once, then reused for every pair
 	} else {
 		s.bitsA = s.bitsA[:na]
 	}
@@ -41,7 +41,7 @@ func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
 		s.bitsA[i] = 0
 	}
 	if cap(s.bitsB) < nb {
-		s.bitsB = make([]uint64, nb) //nolint:elsahotpath // amortized: grows to the largest span once, then reused for every pair
+		s.bitsB = make([]uint64, nb) //nolint:elsaalloc // amortized: grows to the largest span once, then reused for every pair
 	} else {
 		s.bitsB = s.bitsB[:nb]
 	}
@@ -57,8 +57,8 @@ func (s *Scratch) growBits(na, nb int) (wa, wb []uint64) {
 //
 //elsa:hotpath
 func (s *Scratch) growFFT(span int) (fa, fb []complex128) {
-	s.fa = fft.GrowPow2(s.fa, span) //nolint:elsahotpath // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
-	s.fb = fft.GrowPow2(s.fb, span) //nolint:elsahotpath // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
+	s.fa = fft.GrowPow2(s.fa, span) //nolint:elsaalloc // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
+	s.fb = fft.GrowPow2(s.fb, span) //nolint:elsaalloc // amortized: fft.GrowPow2 reuses capacity after the first growth to the largest span
 	return s.fa, s.fb
 }
 
@@ -69,7 +69,7 @@ func (s *Scratch) growFFT(span int) (fa, fb []complex128) {
 //elsa:hotpath
 func (s *Scratch) grow(n int) (hist, prefix []int) {
 	if cap(s.hist) < n {
-		s.hist = make([]int, n) //nolint:elsahotpath // amortized: grows to MaxLag+1 once, then reused for every pair
+		s.hist = make([]int, n) //nolint:elsaalloc // amortized: grows to MaxLag+1 once, then reused for every pair
 	} else {
 		s.hist = s.hist[:n]
 		for i := range s.hist {
@@ -77,7 +77,7 @@ func (s *Scratch) grow(n int) (hist, prefix []int) {
 		}
 	}
 	if cap(s.prefix) < n+1 {
-		s.prefix = make([]int, n+1) //nolint:elsahotpath // amortized: grows to MaxLag+2 once, then reused for every pair
+		s.prefix = make([]int, n+1) //nolint:elsaalloc // amortized: grows to MaxLag+2 once, then reused for every pair
 	} else {
 		s.prefix = s.prefix[:n+1]
 	}
